@@ -31,7 +31,6 @@ from .tensor import (
     flop_scope,
     flop_totals,
     load_tensors,
-    masked_fill,
     matmul_batched,
     relative_error,
     reset_flops,
@@ -66,7 +65,6 @@ __all__ = [
     "least_squares_error_at_N",
     "load_tensors",
     "mask_matrix",
-    "masked_fill",
     "matmul_batched",
     "relative_error",
     "reset_flops",

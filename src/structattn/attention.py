@@ -14,8 +14,8 @@ Four ways to build the per-head score matrix S = X M X^T:
 Score functions return raw (unscaled) scores, except that qk normalization,
 when on, layer-normalizes the projected features and applies the tunable
 C/(r_l p_l) or C*/(ab) scaling inside the level sum. attention_layer_forward
-applies the mean-field 1/denominator normalization (not 1/sqrt) before the
-masked softmax and contracts values per head.
+hands the mean-field 1/denominator normalization (not 1/sqrt) to the masked
+softmax as its scale and contracts values per head.
 
 Heads are batched, not looped: every weight tensor stacks heads along its
 leading axis and the score/value products run as one batched matmul.
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .masks import MaskSpec, mask_matrix
+from .masks import MaskSpec
 from .structured import BTTSpec, MLRSpec
 from .tensor import (
     ShapeError,
@@ -34,7 +34,6 @@ from .tensor import (
     block_diag_embed,
     concat,
     layer_norm,
-    masked_fill,
     matmul_batched,
     softmax_rows_masked,
     tsum,
@@ -174,6 +173,14 @@ def score_matrix_bilinear(X: Tensor, cfg: ScoreFunctionConfig, q_blocks, k_block
     raise ValueError(f"score_matrix_bilinear got non-bilinear kind {cfg.kind!r}")
 
 
+def check_btt_width(cfg: ScoreFunctionConfig, d: int, heads: int):
+    """A btt layer's projected features (T, s*b*c) must be at least the dense head dim D/H."""
+    spec = cfg.spec
+    if cfg.kind == "bilinear-btt" and spec.s * spec.b * spec.c < d // heads:
+        raise ShapeError(f"bilinear-btt {spec}: feature width s*b*c = {spec.s * spec.b * spec.c} "
+                         f"is narrower than the head dim D/H = {d}/{heads} = {d // heads}")
+
+
 def _check_dim(X, m):
     if X.shape[-1] != m:
         raise ShapeError(f"scoring expects inputs with D={m}, got {X.shape}")
@@ -267,17 +274,6 @@ def score_matrix_mlr_attention(X: Tensor, wq: Tensor, wk: Tensor,
     return total
 
 
-def sliding_window_scores(S: Tensor, window: int) -> Tensor:
-    """Mask scores outside the causal band 0 <= j - j' <= window to -inf.
-
-    window = T (or more) leaves plain causal masking; window = 0 keeps only
-    the diagonal, so softmax rows come out one-hot.
-    """
-    t = S.shape[-1]
-    vis = mask_matrix(MaskSpec("sliding_window", window), t)
-    return masked_fill(S, vis, -np.inf)
-
-
 def retained_key_indices(cfg: MLRAttentionConfig, t: int) -> tuple[tuple[int, int], ...]:
     """Per-level token ranges whose keys a decoder must keep.
 
@@ -333,9 +329,9 @@ def attention_layer_forward(X: Tensor, weights: AttentionWeights,
                             mask: MaskSpec | np.ndarray) -> Tensor:
     """sum_h softmax(mask(S_h / denom)) (X Wv_h) Wo_h^T, shape-preserving.
 
-    X is (T, D) or carries leading batch axes (.., T, D). Scores are divided
-    by the mean-field denominator before the masked softmax unless qk
-    normalization already scaled them inside the score function.
+    X is (T, D) or carries leading batch axes (.., T, D). The masked softmax
+    divides scores by the mean-field denominator unless qk normalization
+    already scaled them inside the score function.
     """
     t, d = X.shape[-2], X.shape[-1]
     h = weights.heads
@@ -354,25 +350,21 @@ def attention_layer_forward(X: Tensor, weights: AttentionWeights,
         if not (isinstance(mask, MaskSpec) and mask.kind == "causal"):
             raise ValueError("mlr attention is causal by construction; pass MaskSpec('causal')")
         scores = score_matrix_mlr_attention(xh, weights.wq, weights.wk, cfg)
-        scores = scores * (1.0 / cfg.r)
+        scale = 1.0 / cfg.r
     elif cfg.kind == "standard":
         if h * cfg.r != d:
             raise ShapeError(f"head partition: D={d} != H*r = {h}*{cfg.r}")
         if weights.wq.shape != (h, d, cfg.r):
             raise ShapeError(f"standard projections must be ({h}, {d}, {cfg.r}), got {weights.wq.shape}")
         scores = score_matrix_standard(xh, weights.wq, weights.wk)
-        scores = scores * (1.0 / cfg.score_denominator)
+        scale = 1.0 / cfg.score_denominator
     else:
         _check_dim(X, cfg.spec.m)
-        if cfg.kind == "bilinear-btt":
-            # the projected features are (T, sbc), never narrower than the
-            # dense head dim for the core shapes this layer is meant to run
-            assert cfg.spec.s * cfg.spec.b * cfg.spec.c >= d // h
+        check_btt_width(cfg, d, h)
         scores = score_matrix_bilinear(xh, cfg, weights.q_blocks, weights.k_blocks)
-        if not cfg.qk_norm_on:
-            scores = scores * (1.0 / cfg.score_denominator)
+        scale = 1.0 if cfg.qk_norm_on else 1.0 / cfg.score_denominator
 
-    attn = softmax_rows_masked(scores, mask)
+    attn = softmax_rows_masked(scores, mask, scale)
     v = matmul_batched(xh, weights.wv)
     head_out = matmul_batched(matmul_batched(attn, v), weights.wo.mT)
     return tsum(head_out, axis=-3)

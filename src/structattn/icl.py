@@ -168,11 +168,11 @@ METRIC_COLUMNS = ("step", "loss", "eval_error", "flops_cumulative", "wall_second
 
 
 class DivergenceError(RuntimeError):
-    """Loss went non-finite or past the limit; carries the last good state."""
+    """Loss or a gradient went non-finite, or the loss passed the limit; carries the last good state."""
 
     def __init__(self, step: int, lr: float, max_activation: float,
-                 params=None, rows=None):
-        super().__init__(f"training diverged at step {step}: base lr {lr}, "
+                 params=None, rows=None, cause: str = "loss"):
+        super().__init__(f"training diverged at step {step} ({cause}): base lr {lr}, "
                          f"max |activation| {max_activation:.3e}")
         self.step = step
         self.lr = lr
@@ -189,6 +189,13 @@ class TrainResult:
 
     def column(self, name: str) -> list:
         return [row[name] for row in self.rows]
+
+
+def _raise_divergence(model, batch, step, train_cfg, rows, cause):
+    probes = []
+    model.forward(batch.tokens, probes=probes)
+    raise DivergenceError(step, train_cfg.base_lr, max(m for _, _, m in probes),
+                          params=model.params, rows=rows, cause=cause)
 
 
 def train(model_cfg: ModelConfig, task_cfg: ICLTaskConfig, train_cfg: TrainConfig,
@@ -229,13 +236,12 @@ def train(model_cfg: ModelConfig, task_cfg: ICLTaskConfig, train_cfg: TrainConfi
                 loss = icl_loss(model, batch)
             loss_val = loss.item()
             if not math.isfinite(loss_val) or loss_val > DIVERGENCE_LIMIT:
-                probes = []
-                model.forward(batch.tokens, probes=probes)
-                raise DivergenceError(step, train_cfg.base_lr,
-                                      max(m for _, _, m in probes),
-                                      params=model.params, rows=rows)
+                _raise_divergence(model, batch, step, train_cfg, rows, f"loss {loss_val!r}")
             grads = backward(tape, loss)
             gdict = {path: grads[p] for path, p in model.params.items()}
+            bad = next((path for path, g in gdict.items() if not np.isfinite(g).all()), None)
+            if bad is not None:
+                _raise_divergence(model, batch, step, train_cfg, rows, f"non-finite gradient of {bad}")
         flops_total += fc.flops
         model = model.with_params(opt.step(model.params, gdict))
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attention import (AttentionWeights, MLRAttentionConfig, ScoreFunctionConfig,
-                        attention_layer_forward)
+                        attention_layer_forward, check_btt_width)
 from .masks import MaskSpec, resolve_layer_masks
 from .mup import MupRule, adam_lr, init_std
 from .structured import BTTSpec, MLRSpec
@@ -108,8 +108,10 @@ class ModelConfig:
             return ScoreFunctionConfig("bilinear-mlr", spec=spec, qk_norm=self.qk_norm,
                                        norm_constant=self.norm_constant)
         spec = BTTSpec.square_root(self.d_model, self.btt_s)
-        return ScoreFunctionConfig("bilinear-btt", spec=spec, qk_norm=self.qk_norm,
-                                   norm_constant=self.norm_constant)
+        score = ScoreFunctionConfig("bilinear-btt", spec=spec, qk_norm=self.qk_norm,
+                                    norm_constant=self.norm_constant)
+        check_btt_width(score, self.d_model, self.heads)
+        return score
 
     def score_cfg(self, layer: int):
         return self._score_cfgs[layer]

@@ -13,6 +13,7 @@ Conventions:
 """
 from __future__ import annotations
 
+import functools
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -404,9 +405,10 @@ def add(a, b) -> Tensor:
     _check_same_dtype("add", a, b)
     out = a.data + b.data
     _count_flops(out.size)
-    ash, bsh = a.shape, b.shape
+    ra, rb, ash, bsh = a.requires_grad, b.requires_grad, a.shape, b.shape
     return _record("add", (a, b), out, lambda x, y: x + y,
-                   lambda g: (_unbroadcast(g, ash), _unbroadcast(g, bsh)))
+                   lambda g: (_unbroadcast(g, ash) if ra else None,
+                              _unbroadcast(g, bsh) if rb else None))
 
 
 def sub(a, b) -> Tensor:
@@ -415,9 +417,10 @@ def sub(a, b) -> Tensor:
     _check_same_dtype("sub", a, b)
     out = a.data - b.data
     _count_flops(out.size)
-    ash, bsh = a.shape, b.shape
+    ra, rb, ash, bsh = a.requires_grad, b.requires_grad, a.shape, b.shape
     return _record("sub", (a, b), out, lambda x, y: x - y,
-                   lambda g: (_unbroadcast(g, ash), _unbroadcast(-g, bsh)))
+                   lambda g: (_unbroadcast(g, ash) if ra else None,
+                              _unbroadcast(-g, bsh) if rb else None))
 
 
 def mul(a, b) -> Tensor:
@@ -426,9 +429,10 @@ def mul(a, b) -> Tensor:
     _check_same_dtype("mul", a, b)
     out = a.data * b.data
     _count_flops(out.size)
-    ad, bd = a.data, b.data
+    ra, rb, ad, bd = a.requires_grad, b.requires_grad, a.data, b.data
     return _record("mul", (a, b), out, lambda x, y: x * y,
-                   lambda g: (_unbroadcast(g * bd, a.shape), _unbroadcast(g * ad, b.shape)))
+                   lambda g: (_unbroadcast(g * bd, ad.shape) if ra else None,
+                              _unbroadcast(g * ad, bd.shape) if rb else None))
 
 
 def div(a, b) -> Tensor:
@@ -437,10 +441,10 @@ def div(a, b) -> Tensor:
     _check_same_dtype("div", a, b)
     out = a.data / b.data
     _count_flops(out.size)
-    ad, bd = a.data, b.data
+    ra, rb, ad, bd = a.requires_grad, b.requires_grad, a.data, b.data
     return _record("div", (a, b), out, lambda x, y: x / y,
-                   lambda g: (_unbroadcast(g / bd, a.shape),
-                              _unbroadcast(-g * ad / (bd * bd), b.shape)))
+                   lambda g: (_unbroadcast(g / bd, ad.shape) if ra else None,
+                              _unbroadcast(-g * ad / (bd * bd), bd.shape) if rb else None))
 
 
 def neg(a: Tensor) -> Tensor:
@@ -478,11 +482,11 @@ def matmul_batched(a: Tensor, b: Tensor) -> Tensor:
     out = np.matmul(a.data, b.data)
     m, k, n = a.shape[-2], a.shape[-1], b.shape[-1]
     _count_matmul(int(np.prod(batch_shape, dtype=np.int64)) if batch_shape else 1, m, k, n)
-    ad, bd = a.data, b.data
+    ra, rb, ad, bd = a.requires_grad, b.requires_grad, a.data, b.data
 
     def vjp(g):
-        ga = _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ad.shape)
-        gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bd.shape)
+        ga = _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ad.shape) if ra else None
+        gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bd.shape) if rb else None
         return ga, gb
 
     return _record("matmul", (a, b), out, np.matmul, vjp)
@@ -622,20 +626,24 @@ _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 _GELU_A = 0.044715
 
 
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    # the cube as products: numpy's pow takes ~100x longer for the same values
+    return np.tanh(_GELU_C * (x + _GELU_A * (x * x * x)))
+
+
 def _gelu_fwd(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + _GELU_A * x ** 3)))
+    return 0.5 * x * (1.0 + _gelu_tanh(x))
 
 
 def gelu(a: Tensor) -> Tensor:
     """tanh-form gelu; smooth, so finite differences agree everywhere."""
     a = _as_tensor(a)
-    out = _gelu_fwd(a.data)
-    _count_flops(8 * out.size)
     ad = a.data
+    t = _gelu_tanh(ad)
+    out = 0.5 * ad * (1.0 + t)
+    _count_flops(8 * out.size)
 
     def vjp(g):
-        u = _GELU_C * (ad + _GELU_A * ad ** 3)
-        t = np.tanh(u)
         du = _GELU_C * (1.0 + 3.0 * _GELU_A * ad * ad)
         return (g * (0.5 * (1.0 + t) + 0.5 * ad * (1.0 - t * t) * du),)
 
@@ -696,60 +704,65 @@ def block_diag_embed(blocks: Tensor) -> Tensor:
     return _record("block_diag_embed", (blocks,), fwd(blocks.data), fwd, vjp)
 
 
-def masked_fill(a: Tensor, keep: np.ndarray, value: float) -> Tensor:
-    """Replace entries where `keep` is False with a constant (e.g. -inf).
-
-    The gradient flows only through surviving entries. `keep` broadcasts
-    against the trailing axes of `a`. Pure selection; costs no flops.
-    """
-    a = _as_tensor(a)
-    m = np.broadcast_to(np.asarray(keep, dtype=bool), a.shape)
-    fill = np.asarray(value, dtype=a.data.dtype)
-
-    def fwd(x):
-        return np.where(m, x, fill)
-
-    def vjp(g):
-        return (np.where(m, g, 0.0),)
-
-    return _record("masked_fill", (a,), fwd(a.data), fwd, vjp)
+@functools.lru_cache(maxsize=64)
+def _visibility(spec: MaskSpec, t: int) -> np.ndarray:
+    """The read-only (t, t) visibility matrix of a spec, checked once per (spec, t)."""
+    return _check_rows_visible(_freeze(mask_matrix(spec, t)))
 
 
-def softmax_rows_masked(s: Tensor, mask: MaskSpec | np.ndarray) -> Tensor:
-    """Row softmax over the trailing (t, t) score matrix under a visibility mask.
+def _check_rows_visible(vis: np.ndarray) -> np.ndarray:
+    seen = vis.any(axis=-1)
+    if not seen.all():
+        raise ShapeError(f"mask leaves row {int(np.flatnonzero(~seen)[0])} fully masked; softmax undefined")
+    return vis
+
+
+def softmax_rows_masked(s: Tensor, mask: MaskSpec | np.ndarray, scale: float = 1.0) -> Tensor:
+    """Row softmax of scale * s over the trailing (t, t) scores under a visibility mask.
 
     mask is a MaskSpec or an explicit boolean (t, t) visibility matrix.
     Masked logits are excluded outright (treated as -inf): they never enter
     the max shift or the exp pool, and their output weight is exactly 0.0.
-    A row with nothing visible is an error.
+    A row with nothing visible is an error. A positive scale gives the same
+    bits as softmax_rows_masked(s * scale, mask) without a separate pass.
     """
     s = _as_tensor(s)
     if s.ndim < 2 or s.shape[-1] != s.shape[-2]:
         raise ShapeError(f"softmax_rows_masked expects trailing square scores, got {s.shape}")
+    c = np.array(scale, dtype=s.data.dtype)  # checked after the cast: f32 can round it to 0 or inf
+    if not 0.0 < c < np.inf:
+        raise ValueError(f"softmax scale must be positive and finite in {c.dtype}, got {scale}")
+    if c == 1.0:
+        c = None
     t = s.shape[-1]
     if isinstance(mask, MaskSpec):
-        vis = mask_matrix(mask, t)
+        vis = _visibility(mask, t)
     else:
         vis = np.asarray(mask, dtype=bool)
         if vis.shape != (t, t):
             raise ShapeError(f"mask shape {vis.shape} does not match scores {s.shape}")
-    if not vis.any(axis=-1).all():
-        bad = int(np.flatnonzero(~vis.any(axis=-1))[0])
-        raise ShapeError(f"mask leaves row {bad} fully masked; softmax undefined")
+        _check_rows_visible(vis)
     neg_inf = np.array(-np.inf, dtype=s.data.dtype)
 
     def fwd(x):
         z = np.where(vis, x, neg_inf)
-        z = z - np.max(z, axis=-1, keepdims=True)
-        e = np.exp(z)
-        return e / np.sum(e, axis=-1, keepdims=True)
+        if c is not None:
+            z *= c  # -inf stays -inf for c > 0
+        z -= np.max(z, axis=-1, keepdims=True)
+        np.exp(z, out=z)
+        z /= np.sum(z, axis=-1, keepdims=True)
+        return z
 
     out = fwd(s.data)
-    _count_flops(4 * out.size)
+    _count_flops((4 if c is None else 5) * out.size)
 
     def vjp(g):
-        inner = np.sum(g * out, axis=-1, keepdims=True)
-        return (out * (g - inner),)
+        gs = g * out
+        np.subtract(g, np.sum(gs, axis=-1, keepdims=True), out=gs)
+        gs *= out
+        if c is not None:
+            gs *= c
+        return (gs,)
 
     return _record("softmax_rows_masked", (s,), out, fwd, vjp)
 

@@ -12,7 +12,6 @@ from structattn.attention import (
     score_matrix_bilinear,
     score_matrix_mlr_attention,
     score_matrix_standard,
-    sliding_window_scores,
 )
 from structattn.costs import bilinear_btt_flops, bilinear_mlr_flops, kv_cache_size, mlr_attention_score_flops
 from structattn.masks import MaskSpec
@@ -328,26 +327,26 @@ def test_mlr_attention_masked_softmax_rows():
 def test_sliding_window_full_width_equals_causal():
     rng = np.random.default_rng(17)
     s = Tensor(rng.standard_normal((5, 5)))
-    windowed = softmax_rows_masked(sliding_window_scores(s, 5), MaskSpec("none")).data
+    windowed = softmax_rows_masked(s, MaskSpec("sliding_window", 5)).data
     causal = softmax_rows_masked(s, CAUSAL).data
-    assert np.allclose(windowed, causal, atol=1e-15)
+    assert np.array_equal(windowed, causal)
 
 
 def test_sliding_window_zero_is_one_hot():
     rng = np.random.default_rng(18)
     s = Tensor(rng.standard_normal((4, 4)))
-    a = softmax_rows_masked(sliding_window_scores(s, 0), MaskSpec("none")).data
+    a = softmax_rows_masked(s, MaskSpec("sliding_window", 0)).data
     assert np.array_equal(a, np.eye(4))
 
 
 def test_sliding_window_band_membership():
     s = Tensor(np.zeros((6, 6)))
-    out = sliding_window_scores(s, 2).data
-    finite = np.isfinite(out)
+    out = softmax_rows_masked(s, MaskSpec("sliding_window", 2)).data
     for j in range(6):
         want = {jp for jp in range(6) if 0 <= j - jp <= 2}
-        assert set(np.flatnonzero(finite[j])) == want
-    assert set(np.flatnonzero(finite[5])) == {3, 4, 5}
+        assert set(np.flatnonzero(out[j])) == want
+        assert np.all(out[j, sorted(want)] == 1.0 / len(want))
+    assert set(np.flatnonzero(out[5])) == {3, 4, 5}
 
 
 def test_retained_key_indices_ranges():
@@ -669,3 +668,19 @@ def test_init_weights_shapes():
     w = init_attention_weights(rng, 8, 2, ScoreFunctionConfig("bilinear-btt", spec=BTTSpec(4, 2, 2, 4, 2)))
     assert w.q_blocks[0].shape == (2, 4, 4) and w.k_blocks[0].shape == (2, 4, 4)
     assert len(w.tensors()) == 2 + 2 + 2
+
+
+def test_btt_feature_width_is_a_shape_error(monkeypatch):
+    # s*b*c = 1 features per head against a dense head dim of 8
+    narrow = ScoreFunctionConfig("bilinear-btt", spec=BTTSpec(8, 1, 1, 8, 1))
+    rng = np.random.default_rng(32)
+    w = init_attention_weights(rng, 8, 1, narrow)
+    x = Tensor(rng.standard_normal((4, 8)))
+    with pytest.raises(ShapeError, match=r"bilinear-btt BTTSpec\(a=8, b=1, c=1, d=8, s=1\).*width s\*b\*c = 1"):
+        attention_layer_forward(x, w, narrow, CAUSAL)
+
+    from structattn.model import ModelConfig
+    monkeypatch.setattr(BTTSpec, "square_root", classmethod(lambda cls, dim, s=1: cls(dim, 1, 1, dim, s)))
+    with pytest.raises(ShapeError, match="head dim D/H = 8/1 = 8"):
+        ModelConfig(d_input=2, d_model=8, layers=1, heads=1, score_kind="bilinear-btt")
+    assert ModelConfig(d_input=2, d_model=8, layers=1, heads=8, score_kind="bilinear-btt")

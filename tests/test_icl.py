@@ -315,6 +315,23 @@ def test_divergence_aborts_with_diagnostics():
     assert "readout.w" in e.params
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_gradient_aborts_with_finite_loss(monkeypatch):
+    # sqrt of the zero-initialized readout adds nothing to the predictions,
+    # but its gradient is 0 * 0.5 / sqrt(0) = nan
+    forward = Transformer.forward
+
+    def patched(self, tokens, probes=None):
+        out = forward(self, tokens, probes=probes)
+        return out + (self.params["readout.w"].sqrt() * 0.0).sum()
+
+    monkeypatch.setattr(Transformer, "forward", patched)
+    with pytest.raises(DivergenceError, match=r"step 1 \(non-finite gradient of readout.w\)") as exc:
+        quick_train(steps=3)
+    assert exc.value.step == 1
+    assert len(exc.value.rows) == 1
+
+
 def test_multilevel_token_mlr_rejects_odd_sequences():
     # prompts have odd length 2N-1, incompatible with two or more token levels
     task = ICLTaskConfig(d_input=2)

@@ -178,6 +178,61 @@ def test_softmax_window_zero_is_identity_weights():
     assert np.array_equal(p, np.eye(5))
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("mask", ["causal", "window", "explicit"])
+@pytest.mark.parametrize("c", [1.0, 0.125, 0.37])
+def test_fused_scale_matches_unfused_softmax(dtype, mask, c):
+    rng = np.random.default_rng(41)
+    if mask == "explicit":
+        mask = rng.random((6, 6)) < 0.5
+        mask[np.arange(6), rng.integers(0, 6, 6)] = True
+    else:
+        mask = MaskSpec("causal") if mask == "causal" else MaskSpec("sliding_window", 2)
+    s_arr = rng.standard_normal((2, 3, 6, 6)) * 4
+    g = rng.standard_normal(s_arr.shape)
+
+    def run(fused):
+        s = Tensor(s_arr, requires_grad=True, dtype=dtype)
+        with flop_scope() as fc, GradTape() as tape:
+            p = softmax_rows_masked(s, mask, c) if fused else softmax_rows_masked(s * c, mask)
+        return p.to_numpy(), backward(tape, p, seed=g)[s], fc.flops, len(tape.nodes)
+
+    p_f, g_f, flops_f, nodes_f = run(True)
+    p_u, g_u, flops_u, nodes_u = run(False)
+    assert p_f.dtype == g_f.dtype == dtype
+    assert np.array_equal(p_f, p_u)
+    assert np.array_equal(g_f, g_u)
+    assert (nodes_f, nodes_u) == (1, 2)
+    assert flops_f == (4 if c == 1.0 else 5) * s_arr.size
+    if c != 1.0:
+        assert flops_f == flops_u
+
+
+def test_softmax_rejects_non_positive_scale():
+    for c in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="scale"):
+            softmax_rows_masked(Tensor(np.zeros((3, 3))), MaskSpec("causal"), c)
+    # representable in f64 but not in f32, where masked -inf * 0 would be nan
+    with pytest.raises(ValueError, match="float32"):
+        softmax_rows_masked(Tensor(np.zeros((3, 3)), dtype=np.float32), MaskSpec("causal"), 1e-50)
+
+
+def test_mask_cache_is_read_only_and_explicit_masks_are_still_checked():
+    spec = MaskSpec("sliding_window", 2)
+    vis = tc._visibility(spec, 7)
+    assert vis is tc._visibility(MaskSpec("sliding_window", 2), 7)
+    assert np.array_equal(vis, mask_matrix(spec, 7))
+    assert not vis.flags.writeable
+    with pytest.raises(ValueError):
+        vis[0, 1] = True
+    # the mask mask_matrix hands out stays the caller's own
+    assert mask_matrix(spec, 7).flags.writeable
+    empty = np.zeros((7, 7), dtype=bool)
+    for _ in range(2):
+        with pytest.raises(ShapeError, match="row 0 fully masked"):
+            softmax_rows_masked(Tensor(np.zeros((7, 7))), empty)
+
+
 # ---------------------------------------------------------------------------
 # mask specs
 # ---------------------------------------------------------------------------
@@ -270,7 +325,7 @@ PRIMITIVE_CASES = [
     ("layer_norm", lambda a: tc.layer_norm(a) ** 2, 1),
     ("block_diag", lambda a: tc.block_diag_embed(a.reshape(2, 2, 3)) ** 2, 1),
     ("softmax", lambda a: softmax_rows_masked(a @ a.mT, MaskSpec("causal")) ** 2, 1),
-    ("masked_fill", lambda a: tc.masked_fill(a, np.tri(3, 4, dtype=bool), -3.0) ** 2, 1),
+    ("softmax_scaled", lambda a: softmax_rows_masked(a @ a.mT, MaskSpec("causal"), 0.3) ** 2, 1),
 ]
 
 
@@ -292,6 +347,72 @@ def test_primitive_gradients_match_finite_differences(name, fn, arity):
             fd = finite_diff_grad(f, arrs[i])
             err = relative_error(grads[t], fd)
             assert err < 1e-5, f"{name} input {i} trial {trial}: rel err {err}"
+
+
+BINARY_CASES = [
+    ("add", lambda a, b: a + b, (3, 4), (4,)),
+    ("sub", lambda a, b: a - b, (3, 4), (3, 1)),
+    ("mul", lambda a, b: a * b, (3, 4), (1, 4)),
+    ("div", lambda a, b: a / b, (3, 4), (3, 4)),
+    ("matmul", lambda a, b: a @ b, (2, 3, 4), (4, 5)),
+]
+
+
+@pytest.mark.parametrize("name,fn,ash,bsh", BINARY_CASES, ids=[c[0] for c in BINARY_CASES])
+def test_constant_operand_gets_no_gradient(name, fn, ash, bsh):
+    rng = np.random.default_rng(42)
+    arrs = [rng.uniform(0.5, 2.0, ash), rng.uniform(0.5, 2.0, bsh)]
+    g = rng.standard_normal(fn(*arrs).shape)
+
+    def vjp(grad_mask):
+        ts = [Tensor(a, requires_grad=r) for a, r in zip(arrs, grad_mask)]
+        with GradTape() as tape:
+            fn(*ts)
+        (node,) = tape.nodes
+        return node.vjp(g)
+
+    both = vjp((True, True))
+    for live in (0, 1):
+        got = vjp((live == 0, live == 1))
+        assert got[1 - live] is None
+        assert np.array_equal(got[live], both[live])
+
+
+def test_gelu_cube_as_products_stays_within_an_ulp_of_pow():
+    # the products round differently from pow only in the last bit of x^3;
+    # that moves gelu by at most 5e-16, or one ulp of outputs past 4
+    x = np.random.default_rng(43).uniform(-30.0, 30.0, 1_000_000)
+    c, a = tc._GELU_C, tc._GELU_A
+    t = np.tanh(c * (x + a * x ** 3))
+    want = 0.5 * x * (1.0 + t)
+    want_grad = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * (c * (1.0 + 3.0 * a * x * x))
+    xt = Tensor(x, requires_grad=True)
+    with GradTape() as tape:
+        y = tc.gelu(xt)
+    assert np.all(np.abs(y.data - want) <= np.maximum(5e-16, np.spacing(np.abs(want))))
+    assert np.max(np.abs(backward(tape, y, seed=np.ones_like(x))[xt] - want_grad)) <= 2e-15
+    assert np.array_equal(tc._gelu_fwd(x), y.data)
+
+
+def test_icl_loss_metering_is_pinned():
+    # forward flops and MACs of one icl_loss at the d16 training shapes
+    # (batch 16, T 63, D 64, 2 layers); fused softmax scaling must not move them
+    from structattn.icl import ICLTaskConfig, icl_loss, sample_batch
+    from structattn.model import ModelConfig, Transformer
+
+    batch = sample_batch(ICLTaskConfig(16), 16, (0, 1, 1))
+    pinned = {
+        (("heads", 8), ("score_kind", "standard")): (241_096_993, 116_444_160),
+        (("heads", 1), ("score_kind", "standard")): (237_540_769, 116_444_160),
+        (("heads", 8), ("score_kind", "bilinear-mlr"), ("ranks", (4, 2, 1, 1))): (271_885_345, 128_636_928),
+        (("heads", 8), ("score_kind", "bilinear-btt"), ("btt_s", 1)): (358_968_481, 173_343_744),
+    }
+    for kw, (flops, macs) in pinned.items():
+        model = Transformer.init(ModelConfig(d_input=16, d_model=64, layers=2, **dict(kw)),
+                                 np.random.default_rng(0))
+        with flop_scope() as fc:
+            icl_loss(model, batch)
+        assert (fc.flops, fc.macs) == (flops, macs), kw
 
 
 def test_non_scalar_backward_without_seed_is_shape_error():
